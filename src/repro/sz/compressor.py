@@ -26,6 +26,7 @@ Tables III–V overhead studies.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -267,7 +268,8 @@ class SZCompressor:
             data = work
 
             with tr.stage("predict") as sp:
-                predictor_name, residuals, model, modal = self._predict(q)
+                pred = self._predict(q)
+                predictor_name, residuals = pred.name, pred.residuals
                 radius = quantizer.choose_radius(
                     residuals, coverage=self.coverage
                 )
@@ -278,9 +280,7 @@ class SZCompressor:
 
             with tr.stage("huffman_build") as sp:
                 flat_codes = np.ravel(codes)
-                symbols, inverse, counts = np.unique(
-                    flat_codes, return_inverse=True, return_counts=True
-                )
+                symbols, counts = quantizer.code_histogram(flat_codes, radius)
                 depth_limited = (
                     self.depth_limit is not None
                     and symbols.size <= (1 << self.depth_limit)
@@ -345,8 +345,8 @@ class SZCompressor:
                 else:
                     unpred_bytes = ieee754.ieee754_encode(data[unpred_mask])
                 coeff_bytes = (
-                    ieee754.ieee754_encode(model.coefficients)
-                    if model is not None
+                    ieee754.ieee754_encode(pred.model.coefficients)
+                    if pred.model is not None
                     else b""
                 )
                 exact_bytes = _pack_exact(
@@ -361,7 +361,7 @@ class SZCompressor:
             )
 
         meta = self._pack_meta(
-            data, out_dtype, eb, predictor_name, radius, modal, n_code_bits,
+            data, out_dtype, eb, predictor_name, radius, pred.modal, n_code_bits,
             int(unpred_mask.sum()), frame_version, depth_limited,
         )
         sections = {
@@ -385,29 +385,17 @@ class SZCompressor:
         )
         return SZFrame(sections=sections, stats=stats)
 
-    def _predict(
-        self, q: np.ndarray
-    ) -> tuple[str, np.ndarray, predictors.RegressionModel | None, int]:
-        """Select a predictor (if auto) and compute its residuals."""
-        name = self.predictor
-        if name == "auto":
-            probe_radius = quantizer.choose_radius(
-                predictors.lorenzo_residuals(q), coverage=self.coverage
-            )
-            name = predictors.select_predictor(q, probe_radius, self.block_size)
-        model: predictors.RegressionModel | None = None
-        modal = 0
-        if name == "lorenzo":
-            residuals = predictors.lorenzo_residuals(q)
-        elif name == "mean":
-            modal = predictors.modal_value(q)
-            residuals = predictors.mean_residuals(q, modal)
-        elif name == "regression":
-            model = predictors.regression_fit(q, self.block_size)
-            residuals = q - predictors.regression_predict(model)
-        else:  # pragma: no cover - constructor validates
-            raise ValueError(f"unknown predictor {name!r}")
-        return name, residuals, model, modal
+    def _predict(self, q: np.ndarray) -> predictors.Prediction:
+        """Select a predictor (if auto) and compute its residuals once."""
+        if self.predictor != "auto":
+            return predictors.predict(q, self.predictor, self.block_size)
+        lorenzo = predictors.predict(q, "lorenzo", self.block_size)
+        probe_radius = quantizer.choose_radius(
+            lorenzo.residuals, coverage=self.coverage
+        )
+        return predictors.select_predictor(
+            q, probe_radius, self.block_size, computed=(lorenzo,)
+        )
 
     def _pack_meta(
         self,
@@ -508,7 +496,18 @@ class SZCompressor:
         tr = trace.tracer_for(tracer)
         info = self.parse_meta(frame.sections["meta"])
         shape = info["shape"]
-        n_elements = int(np.prod(shape))
+        n_elements = math.prod(shape)
+        # Every symbol costs at least one code bit and every code bit
+        # sits in the codes section, so a shape or bit count the
+        # section cannot back is rejected before anything is sized
+        # from it.
+        if info["n_bits"] > 8 * len(frame.sections["codes"]):
+            raise ValueError("meta bit count exceeds the codes section")
+        if n_elements > info["n_bits"]:
+            raise ValueError(
+                f"frame shape holds {n_elements} values but the codes "
+                f"section carries only {info['n_bits']} bits"
+            )
 
         with tr.span("sz.decompress", mirror=times,
                      frame_version=info["version"],

@@ -41,6 +41,8 @@ __all__ = [
     "RegressionModel",
     "regression_fit",
     "regression_predict",
+    "Prediction",
+    "predict",
     "estimate_code_entropy",
     "select_predictor",
 ]
@@ -176,6 +178,37 @@ def regression_predict(model: RegressionModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# One predictor's full output
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Prediction:
+    """A predictor's residuals plus the side parameters its decoder needs.
+
+    ``model`` is set for regression only, ``modal`` for mean only.
+    """
+
+    name: str
+    residuals: np.ndarray
+    model: RegressionModel | None = None
+    modal: int = 0
+
+
+def predict(q: np.ndarray, name: str, block_size: int) -> Prediction:
+    """Run predictor ``name`` over the grid ``q``."""
+    if name == "lorenzo":
+        return Prediction(name, lorenzo_residuals(q))
+    if name == "mean":
+        modal = modal_value(q)
+        return Prediction(name, mean_residuals(q, modal), modal=modal)
+    if name == "regression":
+        model = regression_fit(q, block_size)
+        residuals = np.asarray(q, dtype=np.int64) - regression_predict(model)
+        return Prediction(name, residuals, model=model)
+    raise ValueError(f"unknown predictor {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Sampling-based predictor selection
 # ---------------------------------------------------------------------------
 
@@ -214,27 +247,31 @@ UNPREDICTABLE_COST_BITS = {"lorenzo": 38.0, "mean": 22.0, "regression": 22.0}
 
 
 def select_predictor(q: np.ndarray, radius: int, block_size: int,
-                     candidates: tuple[str, ...] = PREDICTORS) -> str:
+                     candidates: tuple[str, ...] = PREDICTORS,
+                     *, computed: tuple[Prediction, ...] = ()) -> Prediction:
     """Pick the cheapest predictor by sampled entropy estimate.
 
     Mirrors SZ's "sampling approach to pick the best predictor among
     classical Lorenzo, mean-integrated Lorenzo and linear regression"
     (paper Sec. II-A).  Ties go to the earlier candidate, i.e. Lorenzo.
+
+    Returns the winner's full :class:`Prediction`, so the caller codes
+    the residuals scored here instead of recomputing them.
+    ``computed`` holds predictions the caller already has (the Lorenzo
+    pass behind the radius probe); they are scored, not rerun.  A
+    candidate computed here is dropped once a cheaper one is found.
     """
-    costs: dict[str, float] = {}
+    known = {p.name: p for p in computed}
+    best: Prediction | None = None
+    best_cost = 0.0
     for name in candidates:
-        if name == "lorenzo":
-            res = lorenzo_residuals(q)
-        elif name == "mean":
-            res = mean_residuals(q, modal_value(q))
-        elif name == "regression":
-            res = np.asarray(q, dtype=np.int64) - regression_predict(
-                regression_fit(q, block_size)
-            )
-        else:
-            raise ValueError(f"unknown predictor {name!r}")
-        costs[name] = estimate_code_entropy(
-            res, radius,
+        pred = known[name] if name in known else predict(q, name, block_size)
+        cost = estimate_code_entropy(
+            pred.residuals, radius,
             unpredictable_penalty_bits=UNPREDICTABLE_COST_BITS[name],
         )
-    return min(costs, key=costs.__getitem__)
+        if best is None or cost < best_cost:
+            best, best_cost = pred, cost
+    if best is None:
+        raise ValueError("no candidate predictors")
+    return best

@@ -32,6 +32,7 @@ __all__ = [
     "grid_reconstruct",
     "codes_from_residuals",
     "residuals_from_codes",
+    "code_histogram",
     "choose_radius",
     "MAX_RADIUS",
     "MIN_RADIUS",
@@ -245,6 +246,19 @@ def codes_from_residuals(residuals: np.ndarray, radius: int) -> tuple[np.ndarray
     unpredictable = np.abs(r) >= radius
     codes = np.where(unpredictable, np.int64(0), r + np.int64(radius))
     return codes, unpredictable
+
+
+def code_histogram(codes: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occurring codes and their counts (SZ's interval-count histogram).
+
+    :func:`codes_from_residuals` bounds every code to ``[0, 2·radius)``
+    and ``radius <= MAX_RADIUS``, so a dense table of at most 65,536
+    bins counts them in one pass.  Returns the ascending distinct codes
+    and their positive counts — the frequency table Huffman is built on.
+    """
+    hist = np.bincount(np.ravel(codes), minlength=2 * radius)
+    symbols = np.flatnonzero(hist).astype(np.int64, copy=False)
+    return symbols, hist[symbols]
 
 
 def residuals_from_codes(codes: np.ndarray, radius: int,

@@ -1,11 +1,14 @@
 """The SZ compressor façade: roundtrips, the error-bound guarantee,
 frame structure and statistics."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import dataset_names, generate
 from repro.sz import SZCompressor
 from repro.sz.compressor import SECTION_ORDER
 from repro.sz.quantizer import ErrorBound
@@ -184,6 +187,56 @@ class TestValidation:
             comp.decompress(frame)
 
 
+class TestForgedMeta:
+    """Meta fields that promise more than the codes section can back
+    are rejected with ``ValueError`` before any decode buffer exists."""
+
+    # Byte offsets in the meta section (FORMAT.md §3): n_bits is the
+    # u64 at 30..38; a 2-D frame ends with its two u64 dims.
+    N_BITS = slice(30, 38)
+    DIMS = slice(-16, None)
+
+    @staticmethod
+    def _frame(lanes):
+        field = np.add.outer(
+            np.sin(np.linspace(0, 3, 64)), np.linspace(0, 1, 64)
+        ).astype(np.float32)
+        comp = SZCompressor(1e-3, huffman_lanes=lanes)
+        frame = comp.compress(field)
+        version = comp.parse_meta(frame.sections["meta"])["version"]
+        assert version == (2 if lanes == "auto" else 3)
+        return comp, frame
+
+    @staticmethod
+    def _forge(frame, where, value):
+        meta = bytearray(frame.sections["meta"])
+        meta[where] = value
+        frame.sections["meta"] = bytes(meta)
+
+    @pytest.mark.parametrize("lanes", ["auto", 4])
+    def test_relabelled_shape_rejected(self, lanes):
+        comp, frame = self._frame(lanes)
+        self._forge(frame, self.DIMS, struct.pack("<2Q", 65536, 65536))
+        with pytest.raises(ValueError, match="codes section carries only"):
+            comp.decompress(frame)
+
+    @pytest.mark.parametrize("lanes", ["auto", 4])
+    def test_inflated_bit_count_rejected(self, lanes):
+        # Raising n_bits along with the shape defeats the shape check
+        # alone; the bit count must also fit the codes section.
+        comp, frame = self._frame(lanes)
+        self._forge(frame, self.DIMS, struct.pack("<2Q", 65536, 65536))
+        self._forge(frame, self.N_BITS, struct.pack("<Q", 1 << 32))
+        with pytest.raises(ValueError, match="exceeds the codes section"):
+            comp.decompress(frame)
+
+    def test_dims_overflowing_int64_rejected(self):
+        comp, frame = self._frame("auto")
+        self._forge(frame, self.DIMS, struct.pack("<2Q", 1 << 40, 1 << 40))
+        with pytest.raises(ValueError, match="codes section carries only"):
+            comp.decompress(frame)
+
+
 class TestCompressionBehaviour:
     def test_looser_bound_compresses_better(self, smooth_field):
         tight = SZCompressor(1e-6).compress(smooth_field).payload_bytes
@@ -205,6 +258,27 @@ class TestCompressionBehaviour:
     def test_auto_selects_reasonably(self, smooth_field):
         frame = SZCompressor(1e-4, predictor="auto").compress(smooth_field)
         assert frame.stats.predictor in ("lorenzo", "mean", "regression")
+
+    @pytest.mark.parametrize("name", (*dataset_names(), "noisy_plane"))
+    def test_auto_frame_equals_explicit_winner(self, name):
+        # Auto selection hands back the residuals it scored; the frame
+        # must be the one the winning predictor builds on its own.  The
+        # datasets pick Lorenzo or mean; the noisy plane picks
+        # regression.
+        if name == "noisy_plane":
+            i, j, k = np.meshgrid(*[np.arange(24)] * 3, indexing="ij")
+            noise = np.random.default_rng(0).standard_normal(i.shape)
+            field = (0.5 * i + 0.2 * j - 0.3 * k + noise).astype(np.float32)
+            eb = 1e-1
+        else:
+            field = np.asarray(generate(name, size="tiny"), dtype=np.float32)
+            eb = 1e-4
+        auto = SZCompressor(eb).compress(field)
+        winner = auto.stats.predictor
+        if name == "noisy_plane":
+            assert winner == "regression"
+        explicit = SZCompressor(eb, predictor=winner).compress(field)
+        assert auto.sections == explicit.sections
 
 
 @given(

@@ -10,6 +10,11 @@ bytes.  Length-limited codes (``build_code(..., max_len=)``) are new
 wire behaviour and are checked against first principles instead:
 Kraft, depth bound, prefix-freeness and bit-exact round-trips through
 the reference packer.
+
+The frequency table itself comes from ``quantizer.code_histogram``, a
+dense bincount over ``[0, 2·radius)``.  Its oracle is the sorted
+``np.unique(..., return_counts=True)`` table it replaced, which lives
+here only: symbols, counts and whole frames must match it exactly.
 """
 
 import numpy as np
@@ -17,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz import huffman
+from repro.sz import huffman, quantizer
 from repro.sz.bitstream import PackedBits, pack_codes_ref
 from repro.sz.compressor import SZCompressor
 from repro.sz.huffman import (
@@ -313,3 +318,113 @@ class TestDepthLimitedFrames:
             "huffman.depth_limited_frames", 0
         )
         assert after == before + 1
+
+
+def _unique_histogram(codes, radius):
+    """Oracle frequency table: the sorted distinct codes and counts."""
+    del radius
+    return np.unique(np.ravel(codes), return_counts=True)
+
+
+@st.composite
+def code_arrays(draw):
+    """A radius and a code array bounded by it, with both ends forced in
+    sometimes (the sentinel 0 and the top code 2R - 1)."""
+    radius = draw(st.integers(1, quantizer.MAX_RADIUS))
+    top = 2 * radius - 1
+    values = draw(st.lists(
+        st.one_of(st.integers(0, top), st.sampled_from([0, top])),
+        min_size=1, max_size=300,
+    ))
+    return np.asarray(values, dtype=np.int64), radius
+
+
+class TestDenseHistogram:
+    def _assert_matches_unique(self, codes, radius):
+        symbols, counts = quantizer.code_histogram(codes, radius)
+        ref_symbols, ref_counts = _unique_histogram(codes, radius)
+        assert symbols.dtype == np.int64
+        np.testing.assert_array_equal(symbols, ref_symbols)
+        np.testing.assert_array_equal(counts, ref_counts)
+
+    @given(code_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unique(self, drawn):
+        self._assert_matches_unique(*drawn)
+
+    def test_extreme_codes_at_max_radius(self):
+        top = 2 * quantizer.MAX_RADIUS - 1
+        codes = np.array([top, 0, top, 5, 0, top], dtype=np.int64)
+        self._assert_matches_unique(codes, quantizer.MAX_RADIUS)
+        symbols, counts = quantizer.code_histogram(codes, quantizer.MAX_RADIUS)
+        assert symbols.tolist() == [0, 5, top]
+        assert counts.tolist() == [2, 1, 3]
+
+    def test_single_symbol(self):
+        codes = np.full((7, 9), 4, dtype=np.int64)
+        self._assert_matches_unique(codes, 4)
+        symbols, counts = quantizer.code_histogram(codes, 4)
+        assert symbols.tolist() == [4] and counts.tolist() == [63]
+
+    def test_real_codes(self):
+        rng = np.random.default_rng(3)
+        residuals = np.rint(rng.laplace(0, 40, (30, 40))).astype(np.int64)
+        radius = quantizer.choose_radius(residuals)
+        codes, _ = quantizer.codes_from_residuals(residuals, radius)
+        self._assert_matches_unique(codes, radius)
+
+
+def _frames(comp, data):
+    """The frame ``comp`` builds, then the one built on the oracle table.
+
+    Patched by hand rather than with ``monkeypatch``: hypothesis tests
+    may not take function-scoped fixtures.
+    """
+    dense = comp.compress(data)
+    orig = quantizer.code_histogram
+    quantizer.code_histogram = _unique_histogram
+    try:
+        oracle = comp.compress(data)
+    finally:
+        quantizer.code_histogram = orig
+    return dense, oracle
+
+
+class TestHistogramFrames:
+    """Frames built on the dense histogram equal frames built on the
+    ``np.unique`` table, byte for byte, on every frame path."""
+
+    @pytest.mark.parametrize("opts", [
+        {},
+        {"depth_limit": 16},
+        {"huffman_lanes": 4},
+        {"error_bound": quantizer.ErrorBound(1e-3, "pw_rel")},
+        {"error_bound": quantizer.ErrorBound(1e-3, "pw_rel"),
+         "depth_limit": 16, "huffman_lanes": 3},
+    ])
+    def test_frames_identical(self, opts):
+        rng = np.random.default_rng(11)
+        data = (np.cumsum(rng.standard_normal((96, 80)), axis=1)
+                + 50.0).astype(np.float32)
+        opts = {"error_bound": 1e-3, **opts}
+        dense, oracle = _frames(SZCompressor(**opts), data)
+        assert dense.sections == oracle.sections
+        version = SZCompressor.parse_meta(dense.sections["meta"])["version"]
+        assert version == (3 if "huffman_lanes" in opts else 2)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(50,), (12, 17), (5, 6, 7)]),
+           depth_limit=st.sampled_from([None, 16]))
+    @settings(max_examples=30, deadline=None)
+    def test_small_fields_take_v2_path(self, seed, shape, depth_limit):
+        # Fields this small code to far fewer than LANE_FORMAT_MIN_BITS
+        # bits, so the auto format is the v2 single-stream frame.
+        rng = np.random.default_rng(seed)
+        data = (rng.standard_normal(shape) * 3).astype(np.float32)
+        dense, oracle = _frames(
+            SZCompressor(1e-2, depth_limit=depth_limit), data
+        )
+        assert dense.sections == oracle.sections
+        info = SZCompressor.parse_meta(dense.sections["meta"])
+        assert info["n_bits"] < huffman.LANE_FORMAT_MIN_BITS
+        assert info["version"] == 2

@@ -123,12 +123,22 @@ class TestSelection:
     def test_smooth_gradient_prefers_structure(self):
         i, j = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
         q = (2 * i + 3 * j).astype(np.int64)
-        choice = predictors.select_predictor(q, 256, 8)
+        choice = predictors.select_predictor(q, 256, 8).name
         assert choice in ("lorenzo", "regression")
 
     def test_constant_data_any_predictor_ok(self):
         q = np.full((16, 16), 7, dtype=np.int64)
-        assert predictors.select_predictor(q, 256, 8) in predictors.PREDICTORS
+        assert predictors.select_predictor(q, 256, 8).name in predictors.PREDICTORS
+
+    def test_ties_go_to_earlier_candidate(self):
+        # Mean and regression both leave all-zero residuals on constant
+        # data (cost 0); Lorenzo pays for its corner value.
+        q = np.full((16, 16), 7, dtype=np.int64)
+        assert predictors.select_predictor(q, 256, 8).name == "mean"
+        swapped = predictors.select_predictor(
+            q, 256, 8, candidates=("regression", "mean")
+        )
+        assert swapped.name == "regression"
 
     def test_clustered_prefers_mean(self):
         rng = np.random.default_rng(4)
@@ -137,8 +147,32 @@ class TestSelection:
         q = np.full(4096, 100, dtype=np.int64)
         idx = rng.choice(4096, size=400, replace=False)
         q[idx] += rng.integers(-5, 5, size=400)
-        choice = predictors.select_predictor(q, 64, 8)
+        choice = predictors.select_predictor(q, 64, 8).name
         assert choice == "mean"
+
+    @pytest.mark.parametrize(
+        "candidates",
+        [("lorenzo",), ("mean",), ("regression",), predictors.PREDICTORS],
+    )
+    def test_winner_carries_its_residuals(self, candidates):
+        rng = np.random.default_rng(7)
+        q = np.cumsum(rng.integers(-3, 4, size=(24, 20)), axis=1)
+        win = predictors.select_predictor(q, 64, 8, candidates=candidates)
+        ref = predictors.predict(q, win.name, 8)
+        assert np.array_equal(win.residuals, ref.residuals)
+        assert win.modal == ref.modal
+        if ref.model is None:
+            assert win.model is None
+        else:
+            assert np.array_equal(win.model.coefficients,
+                                  ref.model.coefficients)
+
+    def test_computed_prediction_is_scored_not_rerun(self):
+        q = np.arange(64, dtype=np.int64).reshape(8, 8) ** 2
+        # All-zero residuals cost nothing, so the supplied Lorenzo pass
+        # wins outright; a rerun would return a different object.
+        fake = predictors.Prediction("lorenzo", np.zeros_like(q))
+        assert predictors.select_predictor(q, 64, 8, computed=(fake,)) is fake
 
     def test_unknown_candidate_rejected(self):
         with pytest.raises(ValueError, match="unknown predictor"):
