@@ -117,7 +117,7 @@ def main() -> dict:
             _best_seconds(lambda: sc.compress(field)), 4
         )
         result["stage_encrypt_s"][mode] = round(
-            res.times.seconds.get("encrypt", 0.0), 4
+            res.times.get("encrypt", 0.0), 4
         )
         if mode == "cbc":
             result["encrypted_mb"] = round(res.encrypted_bytes / 1e6, 3)

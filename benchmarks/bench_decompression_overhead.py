@@ -20,7 +20,7 @@ from repro.bench.harness import (
 )
 from repro.bench.tables import format_grid
 from repro.core.schemes import get_scheme
-from repro.core.timing import StageTimes
+from repro.core.trace import NULL_TRACER, Tracer, stage_seconds
 from repro.crypto.aes import AES128
 from repro.sz.compressor import SZCompressor
 from repro.sz.lossless import DEFAULT_LEVEL
@@ -38,31 +38,33 @@ def _paired_decompress_overhead(data, scheme_name, eb, repeats):
     sz = SZCompressor(eb)
     frame = sz.compress(np.asarray(data))
     protected = scheme.protect(
-        dict(frame.sections), cipher, iv, "cbc", DEFAULT_LEVEL, StageTimes()
+        dict(frame.sections), cipher, iv, "cbc", DEFAULT_LEVEL, NULL_TRACER
     )
     plain = base.protect(
-        dict(frame.sections), None, iv, "cbc", DEFAULT_LEVEL, StageTimes()
+        dict(frame.sections), None, iv, "cbc", DEFAULT_LEVEL, NULL_TRACER
     )
     ratios = []
     for _ in range(repeats):
-        t_s = StageTimes()
-        sections = scheme.unprotect(protected, cipher, iv, "cbc", t_s)
-        decode: dict[str, float] = {}
+        tr = Tracer()
+        with tr.span("unprotect") as scheme_span:
+            sections = scheme.unprotect(protected, cipher, iv, "cbc", tr)
         from repro.sz.compressor import SZFrame
         sz.decompress(
-            SZFrame(sections=sections, stats=frame.stats), decode
+            SZFrame(sections=sections, stats=frame.stats), tracer=tr
         )
-        t_b = StageTimes()
-        base_sections = base.unprotect(plain, None, iv, "cbc", t_b)
-        decode_b: dict[str, float] = {}
+        with tr.span("unprotect") as base_span:
+            base_sections = base.unprotect(plain, None, iv, "cbc", tr)
         sz.decompress(
-            SZFrame(sections=base_sections, stats=frame.stats), decode_b
+            SZFrame(sections=base_sections, stats=frame.stats), tracer=tr
         )
-        shared = sum(decode_b.values())  # decode work is identical
-        measured_dec = t_s.seconds.get("decrypt", 0.0)
+        t_s = stage_seconds(scheme_span)
+        t_b = stage_seconds(base_span)
+        # The plain decode: SZ decode work is identical for both.
+        shared = sum(stage_seconds(tr.roots[-1]).values())
+        measured_dec = t_s.get("decrypt", 0.0)
         modeled_dec = measured_dec * dec_rate / model_aes_mb_s()
-        t_scheme = shared + t_s.seconds.get("lossless", 0.0) + modeled_dec
-        t_base = shared + t_b.seconds.get("lossless", 0.0)
+        t_scheme = shared + t_s.get("lossless", 0.0) + modeled_dec
+        t_base = shared + t_b.get("lossless", 0.0)
         ratios.append(100.0 * t_scheme / t_base)
     return float(np.median(ratios))
 

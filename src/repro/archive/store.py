@@ -180,12 +180,7 @@ class ArchiveStore:
             raise ValueError(f"unknown cipher mode {cipher_mode!r}")
         if key is not None and len(key) != 16:
             raise ValueError("key must be 16 bytes (AES-128)")
-        if cipher_mode == "ctr" and random_state is not None:
-            raise ValueError(
-                "cipher_mode='ctr' with a seeded random_state derives "
-                "predictable nonces; CTR nonces must come from OS "
-                "entropy (drop random_state or use 'cbc')"
-            )
+        crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
         self._path = os.fspath(path)
         self._key = key
         self._cipher_mode = cipher_mode
@@ -327,15 +322,10 @@ class ArchiveStore:
 
     # -- sealing ------------------------------------------------------
 
-    def _fresh_iv(self) -> bytes:
-        if self._cipher_mode == "ctr":
-            return crypto_rng.generate_nonce(self._rng)
-        return crypto_rng.generate_iv(self._rng)
-
     def _seal(self, chunk: bytes, codec: int) -> tuple[_Blob, bytes]:
         payload = _encode(chunk, codec)
         if self._key is not None:
-            iv = self._fresh_iv()
+            iv = crypto_rng.fresh_iv(self._cipher_mode, self._rng)
             enc = _ENC_BY_MODE[self._cipher_mode]
             payload = AES128(self._key).encrypt(
                 payload, mode=self._cipher_mode, iv=iv

@@ -9,6 +9,7 @@ the sweep loop, so every benchmark file is a few lines of driver code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 import time
@@ -18,7 +19,6 @@ import numpy as np
 from repro.core import trace
 from repro.core.metrics import bandwidth_mb_s, compression_ratio
 from repro.core.pipeline import SecureCompressor
-from repro.core.timing import StageTimes
 from repro.datasets import generate
 from repro.sz.compressor import CompressionStats
 
@@ -125,8 +125,8 @@ class SchemeMeasurement:
     encrypted_bytes: int
     t_compress: float
     t_decompress: float
-    compress_times: StageTimes
-    decompress_times: StageTimes
+    compress_times: dict[str, float]
+    decompress_times: dict[str, float]
     sz_stats: CompressionStats
 
     @property
@@ -148,13 +148,13 @@ class SchemeMeasurement:
 
     def modeled_encrypt_seconds(self) -> float:
         """The encrypt stage's time under the reference AES rate."""
-        measured = self.compress_times.seconds.get("encrypt", 0.0)
+        measured = self.compress_times.get("encrypt", 0.0)
         enc_rate, _ = aes_calibration()
         return measured * enc_rate / model_aes_mb_s()
 
     def modeled_decrypt_seconds(self) -> float:
         """The decrypt stage's time under the reference AES rate."""
-        measured = self.decompress_times.seconds.get("decrypt", 0.0)
+        measured = self.decompress_times.get("decrypt", 0.0)
         _, dec_rate = aes_calibration()
         return measured * dec_rate / model_aes_mb_s()
 
@@ -167,13 +167,13 @@ class SchemeMeasurement:
         dominate and invert every overhead shape (see
         :data:`MODEL_AES_SZ_RATIO`).
         """
-        measured_enc = self.compress_times.seconds.get("encrypt", 0.0)
+        measured_enc = self.compress_times.get("encrypt", 0.0)
         return self.t_compress - measured_enc + self.modeled_encrypt_seconds()
 
     @property
     def t_decompress_modeled(self) -> float:
         """Decompression time with AES rescaled to the reference rate."""
-        measured_dec = self.decompress_times.seconds.get("decrypt", 0.0)
+        measured_dec = self.decompress_times.get("decrypt", 0.0)
         return (
             self.t_decompress - measured_dec + self.modeled_decrypt_seconds()
         )
@@ -222,8 +222,8 @@ def measure_scheme(
     t_comp = 0.0
     t_decomp = 0.0
     result = None
-    comp_times = StageTimes()
-    decomp_times = StageTimes()
+    comp_times: Counter[str] = Counter()
+    decomp_times: Counter[str] = Counter()
     for _ in range(repeats):
         t0 = time.perf_counter()
         result = sc.compress(np.asarray(data))
@@ -231,13 +231,9 @@ def measure_scheme(
         t0 = time.perf_counter()
         _, dtimes = sc.decompress_with_times(result.container)
         t_decomp += time.perf_counter() - t0
-        comp_times.merge(result.times)
-        decomp_times.merge(dtimes)
+        comp_times.update(result.times)
+        decomp_times.update(dtimes)
     scale = 1.0 / repeats
-    comp_times = StageTimes({k: v * scale for k, v in comp_times.seconds.items()})
-    decomp_times = StageTimes(
-        {k: v * scale for k, v in decomp_times.seconds.items()}
-    )
     return SchemeMeasurement(
         scheme=scheme,
         eb=eb,
@@ -246,8 +242,8 @@ def measure_scheme(
         encrypted_bytes=result.encrypted_bytes,
         t_compress=t_comp * scale,
         t_decompress=t_decomp * scale,
-        compress_times=comp_times,
-        decompress_times=decomp_times,
+        compress_times={k: v * scale for k, v in comp_times.items()},
+        decompress_times={k: v * scale for k, v in decomp_times.items()},
         sz_stats=result.sz_stats,
     )
 
@@ -310,9 +306,8 @@ def measure_overhead_paired(
     if repeats < 1:
         raise ValueError("repeats must be positive")
     from repro.core.schemes import get_scheme
-    from repro.core.timing import StageTimes
     from repro.crypto.aes import AES128
-    from repro.crypto.rng import generate_iv, generate_nonce
+    from repro.crypto.rng import fresh_iv
     from repro.sz.lossless import DEFAULT_LEVEL
 
     rng = np.random.default_rng(seed)
@@ -326,27 +321,28 @@ def measure_overhead_paired(
         from repro.sz.compressor import SZCompressor
 
         sz = SZCompressor(eb)
-        frame = sz.compress(np.asarray(data))
-        sz_seconds = sum(frame.stats.stage_seconds.values())
-        iv = (
-            generate_nonce(rng) if cipher_mode == "ctr" else generate_iv(rng)
-        )
-        t_scheme = StageTimes()
-        scheme_obj.protect(
-            frame.sections, cipher, iv, cipher_mode, DEFAULT_LEVEL, t_scheme
-        )
-        t_base = StageTimes()
-        base.protect(
-            frame.sections, None, iv, cipher_mode, DEFAULT_LEVEL, t_base
-        )
-        measured_enc = t_scheme.seconds.get("encrypt", 0.0)
+        tr = trace.Tracer()
+        frame = sz.compress(np.asarray(data), tracer=tr)
+        iv = fresh_iv(cipher_mode, rng)
+        with tr.span("protect") as scheme_span:
+            scheme_obj.protect(
+                frame.sections, cipher, iv, cipher_mode, DEFAULT_LEVEL, tr
+            )
+        with tr.span("protect") as base_span:
+            base.protect(
+                frame.sections, None, iv, cipher_mode, DEFAULT_LEVEL, tr
+            )
+        sz_seconds = sum(trace.stage_seconds(tr.roots[0]).values())
+        t_scheme = trace.stage_seconds(scheme_span)
+        t_base = trace.stage_seconds(base_span)
+        measured_enc = t_scheme.get("encrypt", 0.0)
         modeled_enc = measured_enc * enc_rate / model_aes_mb_s()
         scheme_total = (
             sz_seconds
-            + t_scheme.seconds.get("lossless", 0.0)
+            + t_scheme.get("lossless", 0.0)
             + modeled_enc
         )
-        base_total = sz_seconds + t_base.seconds.get("lossless", 0.0)
+        base_total = sz_seconds + t_base.get("lossless", 0.0)
         ratios.append(100.0 * scheme_total / base_total)
     return float(np.median(ratios))
 

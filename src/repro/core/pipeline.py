@@ -16,7 +16,6 @@ from repro.core import container as cont
 from repro.core import integrity
 from repro.core import trace
 from repro.core.schemes import Scheme, get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto import pipelined
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
@@ -39,8 +38,9 @@ class CompressResult:
         The inner compressor's statistics (predictable fraction,
         section sizes, SZ stage times — Figs. 2–4).
     times:
-        Combined stage times for SZ + scheme (encrypt/lossless) —
-        Fig. 7 and Tables III–V.
+        Seconds per stage for SZ + scheme (encrypt/lossless), the
+        :func:`~repro.core.trace.stage_seconds` view of the
+        ``compress`` span — Fig. 7 and Tables III–V.
     encrypted_bytes:
         How many plaintext bytes went through AES (Sec. V-D's
         encryption-effort comparison).
@@ -50,7 +50,7 @@ class CompressResult:
 
     container: bytes
     sz_stats: CompressionStats
-    times: StageTimes
+    times: dict[str, float]
     encrypted_bytes: int
     scheme: str
 
@@ -142,19 +142,8 @@ class SecureCompressor:
         self._scheme: Scheme = get_scheme(scheme)
         if cipher_mode not in cont.CIPHER_MODES:
             raise ValueError(f"unknown cipher mode {cipher_mode!r}")
-        if (
-            cipher_mode == "ctr"
-            and random_state is not None
-            and not allow_nonce_reuse
-        ):
-            raise ValueError(
-                "cipher_mode='ctr' with a seeded random_state derives "
-                "deterministic nonces: re-running with the same seed and "
-                "key would encrypt two plaintexts under one (key, nonce) "
-                "pair and leak their XOR. Pass allow_nonce_reuse=True "
-                "only for reproducible experiments on non-sensitive data "
-                "(DESIGN.md), or drop random_state to use OS entropy."
-            )
+        if not allow_nonce_reuse:
+            crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
         self.cipher_mode = cipher_mode
         self.allow_nonce_reuse = allow_nonce_reuse
         self.keystream_prefetch = keystream_prefetch
@@ -188,11 +177,6 @@ class SecureCompressor:
         """The underlying SZ compressor (read-mostly)."""
         return self._sz
 
-    def _fresh_iv(self) -> bytes:
-        if self.cipher_mode == "ctr":
-            return crypto_rng.generate_nonce(self._random_state)
-        return crypto_rng.generate_iv(self._random_state)
-
     # ------------------------------------------------------------------
 
     def compress(
@@ -200,20 +184,21 @@ class SecureCompressor:
     ) -> CompressResult:
         """Compress ``data`` and apply the scheme's protection.
 
-        Pass a :class:`repro.core.trace.Tracer` to record a full span
-        tree (see docs/OBSERVABILITY.md); the flat ``times`` in the
-        result is populated either way.
+        Pass a :class:`repro.core.trace.Tracer` to record the span
+        tree there (see docs/OBSERVABILITY.md); otherwise a private one
+        is used.  Either way ``times`` in the result is the
+        :func:`~repro.core.trace.stage_seconds` view of the
+        ``compress`` span.
         """
-        tr = trace.tracer_for(tracer)
-        times = StageTimes()
+        tr = _recording(tracer)
         with tr.span(
-            "compress", bytes_in=data.nbytes, mirror=times.seconds,
+            "compress", bytes_in=data.nbytes,
             scheme=self._scheme.name, cipher_mode=self.cipher_mode,
         ) as root:
             # The IV/nonce is drawn *before* the SZ stages: in CTR mode
             # the keystream depends only on (key, nonce, counter), so a
             # background thread can generate it while compression runs.
-            iv = self._fresh_iv()
+            iv = crypto_rng.fresh_iv(self.cipher_mode, self._random_state)
             cipher = self._cipher
             prefetcher = None
             if (
@@ -229,11 +214,10 @@ class SecureCompressor:
                     cipher = pipelined.PrefetchingAES(cipher, prefetcher)
             try:
                 frame = self._sz.compress(data, tracer=tr)
-                times.merge(frame.stats.stage_seconds)
                 with tr.span("protect") as psp:
                     out_sections = self._scheme.protect(
                         frame.sections, cipher, iv, self.cipher_mode,
-                        self.zlib_level, tr if tr.enabled else times,
+                        self.zlib_level, tr,
                     )
                     psp.bytes_out = sum(
                         len(v) for v in out_sections.values()
@@ -241,11 +225,7 @@ class SecureCompressor:
             finally:
                 if prefetcher is not None:
                     prefetcher.cancel()
-            if (
-                tr.enabled
-                and prefetcher is not None
-                and prefetcher.stats is not None
-            ):
+            if prefetcher is not None and prefetcher.stats is not None:
                 root.attrs["keystream_overlap_ms"] = round(
                     prefetcher.stats["overlap_ms"], 3
                 )
@@ -261,7 +241,7 @@ class SecureCompressor:
         return CompressResult(
             container=blob,
             sz_stats=frame.stats,
-            times=times,
+            times=trace.stage_seconds(root),
             encrypted_bytes=self._scheme.encrypted_bytes(frame.sections),
             scheme=self._scheme.name,
         )
@@ -275,17 +255,18 @@ class SecureCompressor:
 
     def decompress_with_times(
         self, blob: bytes, *, tracer: trace.Tracer | None = None
-    ) -> tuple[np.ndarray, StageTimes]:
-        """Like :meth:`decompress`, also returning stage times.
+    ) -> tuple[np.ndarray, dict[str, float]]:
+        """Like :meth:`decompress`, also returning the
+        :func:`~repro.core.trace.stage_seconds` view of the
+        ``decompress`` span (recorded into ``tracer`` when given).
 
         Authenticated containers (``SECA`` magic) are verified before
         any parsing; verification failure raises
         :class:`~repro.core.integrity.AuthenticationError`.
         """
-        tr = trace.tracer_for(tracer)
-        times = StageTimes()
+        tr = _recording(tracer)
         with tr.span(
-            "decompress", bytes_in=len(blob), mirror=times.seconds,
+            "decompress", bytes_in=len(blob),
             scheme=self._scheme.name,
         ) as root:
             if blob[: len(integrity.MAGIC)] == integrity.MAGIC:
@@ -309,16 +290,22 @@ class SecureCompressor:
             with tr.span("unprotect"):
                 frame_sections = scheme.unprotect(
                     parsed.sections, self._cipher, parsed.iv,
-                    parsed.cipher_mode, tr if tr.enabled else times,
+                    parsed.cipher_mode, tr,
                 )
             frame = SZFrame(
                 sections=frame_sections, stats=_placeholder_stats()
             )
-            decode_times: dict[str, float] = {}
-            data = self._sz.decompress(frame, decode_times, tracer=tr)
-            times.merge(decode_times)
+            data = self._sz.decompress(frame, tracer=tr)
             root.bytes_out = data.nbytes
-        return data, times
+        return data, trace.stage_seconds(root)
+
+
+def _recording(tracer: trace.Tracer | None) -> trace.Tracer:
+    """The caller's tracer, or a private one when it records nothing:
+    stage times are read off the span tree, so one must be built."""
+    if tracer is None or not tracer.enabled:
+        return trace.Tracer()
+    return tracer
 
 
 def _placeholder_stats() -> CompressionStats:

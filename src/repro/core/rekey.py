@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.core import container as cont
 from repro.core import integrity
+from repro.core import trace
 from repro.core.schemes import get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
 
@@ -37,7 +37,8 @@ def rotate_key(
 
     Works for every scheme (``none`` containers pass through, modulo
     re-authentication).  Raises ``ValueError`` on a wrong ``old_key``
-    or corrupt container.
+    or corrupt container, and for a CTR container with a seeded
+    ``random_state`` (the new nonce would be deterministic).
     """
     was_authenticated = blob[: len(integrity.MAGIC)] == integrity.MAGIC
     if was_authenticated:
@@ -46,20 +47,17 @@ def rotate_key(
     scheme = get_scheme(parsed.scheme_id)
 
     if scheme.requires_key:
+        crypto_rng.refuse_seeded_ctr(parsed.cipher_mode, random_state)
         old_cipher = AES128(old_key)
         new_cipher = AES128(new_key)
         sections = scheme.unprotect(
             parsed.sections, old_cipher, parsed.iv, parsed.cipher_mode,
-            StageTimes(),
+            trace.NULL_TRACER,
         )
-        iv = (
-            crypto_rng.generate_nonce(random_state)
-            if parsed.cipher_mode == "ctr"
-            else crypto_rng.generate_iv(random_state)
-        )
+        iv = crypto_rng.fresh_iv(parsed.cipher_mode, random_state)
         out_sections = scheme.protect(
             sections, new_cipher, iv, parsed.cipher_mode,
-            6, StageTimes(),
+            6, trace.NULL_TRACER,
         )
         out = cont.pack_container(
             scheme.scheme_id, parsed.cipher_mode, iv, out_sections

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-__all__ = ["generate_iv", "generate_nonce"]
+__all__ = ["generate_iv", "generate_nonce", "fresh_iv", "refuse_seeded_ctr"]
 
 
 def generate_iv(rng: np.random.Generator | None = None) -> bytes:
@@ -33,3 +33,31 @@ def generate_nonce(rng: np.random.Generator | None = None) -> bytes:
     if rng is None:
         return os.urandom(8)
     return rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
+
+
+def fresh_iv(cipher_mode: str, rng: np.random.Generator | None = None) -> bytes:
+    """The IV a container in ``cipher_mode`` carries: an 8-byte nonce
+    for ``"ctr"``, a 16-byte IV otherwise."""
+    if cipher_mode == "ctr":
+        return generate_nonce(rng)
+    return generate_iv(rng)
+
+
+def refuse_seeded_ctr(
+    cipher_mode: str, rng: np.random.Generator | None
+) -> None:
+    """Raise ``ValueError`` for CTR with a seeded ``rng``.
+
+    Seeded nonces repeat across runs: the same seed and key would
+    encrypt two plaintexts under one (key, nonce) pair and leak their
+    XOR.  Seeded CBC stays allowed (a repeated IV leaks only
+    equal-prefix information, and the reproduction tables need it).
+    """
+    if cipher_mode == "ctr" and rng is not None:
+        raise ValueError(
+            "cipher_mode='ctr' with a seeded random_state derives "
+            "deterministic nonces: re-running with the same seed and "
+            "key would encrypt two plaintexts under one (key, nonce) "
+            "pair and leak their XOR. Drop random_state to use OS "
+            "entropy, or use cipher_mode='cbc' (DESIGN.md)."
+        )

@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.core import container as cont
 from repro.core import integrity
+from repro.core import trace
 from repro.core.schemes import Scheme, get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
 from repro.imagecodec.codec import ImageCodec, ImageStats
@@ -26,11 +26,12 @@ __all__ = ["SecureImageCompressor", "ImageCompressResult"]
 
 @dataclass(frozen=True)
 class ImageCompressResult:
-    """Container plus the codec's statistics and stage times."""
+    """Container plus the codec's statistics and seconds per stage
+    (``encode``, then the scheme's ``encrypt`` / ``lossless``)."""
 
     container: bytes
     stats: ImageStats
-    times: StageTimes
+    times: dict[str, float]
     encrypted_bytes: int
     scheme: str
 
@@ -43,7 +44,8 @@ class SecureImageCompressor:
     """Compress-and-protect grayscale images.
 
     Parameters mirror :class:`~repro.core.pipeline.SecureCompressor`,
-    with ``quality`` replacing the error bound.
+    with ``quality`` replacing the error bound.  A seeded
+    ``random_state`` is refused in CTR mode (deterministic nonces).
 
     Examples
     --------
@@ -71,6 +73,7 @@ class SecureImageCompressor:
         self._scheme: Scheme = get_scheme(scheme)
         if cipher_mode not in cont.CIPHER_MODES:
             raise ValueError(f"unknown cipher mode {cipher_mode!r}")
+        crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
         self.cipher_mode = cipher_mode
         if self._scheme.requires_key or authenticate:
             if key is None:
@@ -94,21 +97,17 @@ class SecureImageCompressor:
         """The inner JPEG-like codec."""
         return self._codec
 
-    def _fresh_iv(self) -> bytes:
-        if self.cipher_mode == "ctr":
-            return crypto_rng.generate_nonce(self._random_state)
-        return crypto_rng.generate_iv(self._random_state)
-
     def compress(self, image: np.ndarray) -> ImageCompressResult:
         """Encode ``image`` and apply the scheme's protection."""
-        times = StageTimes()
-        with times.stage("encode"):
-            sections, stats = self._codec.encode(image)
-        iv = self._fresh_iv()
-        out_sections = self._scheme.protect(
-            sections, self._cipher, iv, self.cipher_mode, self.zlib_level,
-            times,
-        )
+        tr = trace.Tracer()
+        with tr.span("compress") as root:
+            with tr.span("encode"):
+                sections, stats = self._codec.encode(image)
+            iv = crypto_rng.fresh_iv(self.cipher_mode, self._random_state)
+            out_sections = self._scheme.protect(
+                sections, self._cipher, iv, self.cipher_mode,
+                self.zlib_level, tr,
+            )
         blob = cont.pack_container(
             self._scheme.scheme_id, self.cipher_mode, iv, out_sections
         )
@@ -117,7 +116,7 @@ class SecureImageCompressor:
         return ImageCompressResult(
             container=blob,
             stats=stats,
-            times=times,
+            times=trace.stage_seconds(root),
             encrypted_bytes=self._scheme.encrypted_bytes(sections),
             scheme=self._scheme.name,
         )
@@ -143,6 +142,6 @@ class SecureImageCompressor:
             )
         sections = scheme.unprotect(
             parsed.sections, self._cipher, parsed.iv, parsed.cipher_mode,
-            StageTimes(),
+            trace.NULL_TRACER,
         )
         return self._codec.decode(sections)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 
 
@@ -47,8 +48,8 @@ class TestRoundTrips:
         result = sc.compress(smooth_field)
         out, times = sc.decompress_with_times(result.container)
         assert _max_err(out, smooth_field) <= 1e-3
-        assert "decrypt" in times.seconds
-        assert "huffman_decode" in times.seconds
+        assert "decrypt" in times
+        assert "huffman_decode" in times
 
     @pytest.mark.parametrize("scheme", ["cmpr_encr", "encr_quant",
                                         "encr_huffman", "encr_huffman_raw"])
@@ -130,9 +131,9 @@ class TestResultStats:
         result = SecureCompressor("encr_quant", 1e-4, key=key).compress(
             smooth_field
         )
-        assert "encrypt" in result.times.seconds
-        assert "lossless" in result.times.seconds
-        assert "predict" in result.times.seconds
+        assert "encrypt" in result.times
+        assert "lossless" in result.times
+        assert "predict" in result.times
 
 
 class TestValidation:
@@ -173,3 +174,48 @@ class TestValidation:
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(ValueError):
             sc.decompress(bytes(blob))
+
+
+SCHEMES = ("none", "cmpr_encr", "encr_quant", "encr_huffman",
+           "encr_huffman_raw")
+SZ_COMPRESS_STAGES = {"quantize", "predict", "huffman_build",
+                      "huffman_encode", "side_channels", "lossless"}
+SZ_DECOMPRESS_STAGES = {"huffman_decode", "lossless", "reconstruct"}
+
+
+class TestStageContract:
+    """The flat stage map the Fig. 7 / Tables III-V benches read."""
+
+    @pytest.mark.parametrize("mode", ["cbc", "ctr"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_compress_and_decompress_keys(self, scheme, mode, smooth_field,
+                                          key):
+        sc = SecureCompressor(scheme, 1e-3, key=key, cipher_mode=mode)
+        result = sc.compress(smooth_field)
+        _, dtimes = sc.decompress_with_times(result.container)
+        crypto = set() if scheme == "none" else {"encrypt"}
+        assert set(result.times) == SZ_COMPRESS_STAGES | crypto
+        crypto = set() if scheme == "none" else {"decrypt"}
+        assert set(dtimes) == SZ_DECOMPRESS_STAGES | crypto
+
+    @pytest.mark.parametrize("mode", ["cbc", "ctr"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_times_are_the_span_view(self, scheme, mode, smooth_field, key):
+        sc = SecureCompressor(scheme, 1e-3, key=key, cipher_mode=mode)
+        tr = trace.Tracer()
+        result = sc.compress(smooth_field, tracer=tr)
+        _, dtimes = sc.decompress_with_times(result.container, tracer=tr)
+        compress_root, decompress_root = tr.roots
+        assert result.times == trace.stage_seconds(compress_root)
+        assert dtimes == trace.stage_seconds(decompress_root)
+        assert all(seconds > 0.0 for seconds in result.times.values())
+
+    @pytest.mark.parametrize("mode", ["cbc", "ctr"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_image_compress_keys(self, scheme, mode, key):
+        from repro.imagecodec import SecureImageCompressor, synthetic_image
+
+        sic = SecureImageCompressor(scheme, 75, key=key, cipher_mode=mode)
+        result = sic.compress(synthetic_image("scene", 32))
+        crypto = set() if scheme == "none" else {"encrypt"}
+        assert set(result.times) == {"encode", "lossless"} | crypto

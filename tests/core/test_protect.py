@@ -58,3 +58,10 @@ class TestProtectHelpers:
         blob = protect_sections(sections, "cmpr_encr", key=key,
                                 cipher_mode="ctr")
         assert unprotect_container(blob, key=key) == dict(sections)
+
+    def test_seeded_ctr_refused(self, sections, key):
+        # Two inputs under one seed would share a nonce under one key.
+        with pytest.raises(ValueError, match="nonce"):
+            protect_sections(sections, "encr_huffman", key=key,
+                             cipher_mode="ctr",
+                             random_state=np.random.default_rng(9))

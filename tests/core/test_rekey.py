@@ -63,6 +63,24 @@ class TestRotateKey:
         rotated = rotate_key(blob, key, NEW_KEY)
         assert parse_container(blob).iv != parse_container(rotated).iv
 
+    def test_seeded_ctr_rotation_refused(self, smooth_field, key):
+        writer = SecureCompressor("encr_huffman", 1e-3, key=key,
+                                  cipher_mode="ctr")
+        blob = writer.compress(smooth_field).container
+        with pytest.raises(ValueError, match="nonce"):
+            rotate_key(blob, key, NEW_KEY,
+                       random_state=np.random.default_rng(4))
+
+    def test_seeded_cbc_rotation_is_reproducible(self, smooth_field, key):
+        blob = SecureCompressor("encr_huffman", 1e-3, key=key).compress(
+            smooth_field
+        ).container
+        a = rotate_key(blob, key, NEW_KEY,
+                       random_state=np.random.default_rng(4))
+        b = rotate_key(blob, key, NEW_KEY,
+                       random_state=np.random.default_rng(4))
+        assert a == b
+
     def test_rotation_is_cheap_for_encr_huffman(self, smooth_field, key):
         """Rotation must not redo SZ work: it should run in a small
         fraction of a full recompression."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.schemes import SCHEMES, get_scheme
-from repro.core.timing import StageTimes
+from repro.core.trace import NULL_TRACER, Tracer, stage_seconds
 from repro.crypto.aes import AES128
 from repro.sz import SZCompressor
 from repro.sz.compressor import SECTION_ORDER
@@ -19,10 +19,11 @@ def frame(smooth_field):
 
 def _roundtrip(scheme_name, frame, cipher):
     scheme = get_scheme(scheme_name)
-    times = StageTimes()
-    out = scheme.protect(frame.sections, cipher, IV, "cbc", 6, times)
-    back = scheme.unprotect(out, cipher, IV, "cbc", StageTimes())
-    return out, back, times
+    tr = Tracer()
+    with tr.span("protect") as root:
+        out = scheme.protect(frame.sections, cipher, IV, "cbc", 6, tr)
+    back = scheme.unprotect(out, cipher, IV, "cbc", NULL_TRACER)
+    return out, back, stage_seconds(root)
 
 
 class TestRegistry:
@@ -60,7 +61,7 @@ class TestRoundTrips:
     def test_requires_cipher(self, name, frame):
         scheme = get_scheme(name)
         with pytest.raises(ValueError, match="key"):
-            scheme.protect(frame.sections, None, IV, "cbc", 6, StageTimes())
+            scheme.protect(frame.sections, None, IV, "cbc", 6, NULL_TRACER)
 
     def test_none_works_without_cipher(self, frame):
         _, back, _ = _roundtrip("none", frame, None)
@@ -70,10 +71,10 @@ class TestRoundTrips:
     def test_wrong_key_fails(self, name, frame, key):
         scheme = get_scheme(name)
         out = scheme.protect(frame.sections, AES128(key), IV, "cbc", 6,
-                             StageTimes())
+                             NULL_TRACER)
         wrong = AES128(bytes(16))
         with pytest.raises(ValueError):
-            restored = scheme.unprotect(out, wrong, IV, "cbc", StageTimes())
+            restored = scheme.unprotect(out, wrong, IV, "cbc", NULL_TRACER)
             # If padding happens to validate, the section table must not.
             if restored == {k: frame.sections[k] for k in SECTION_ORDER}:
                 raise AssertionError("wrong key decrypted successfully?!")
@@ -84,8 +85,8 @@ class TestRoundTrips:
         cipher = AES128(key) if scheme.requires_key else None
         nonce = b"12345678"
         out = scheme.protect(frame.sections, cipher, nonce, "ctr", 6,
-                             StageTimes())
-        back = scheme.unprotect(out, cipher, nonce, "ctr", StageTimes())
+                             NULL_TRACER)
+        back = scheme.unprotect(out, cipher, nonce, "ctr", NULL_TRACER)
         assert back == {k: frame.sections[k] for k in SECTION_ORDER}
 
 
@@ -114,8 +115,8 @@ class TestEncryptionPlacement:
         cipher = AES128(key)
         for name in ("cmpr_encr", "encr_quant", "encr_huffman"):
             _, _, times = _roundtrip(name, frame, cipher)
-            assert "encrypt" in times.seconds
-            assert "lossless" in times.seconds
+            assert "encrypt" in times
+            assert "lossless" in times
 
     def test_cmpr_encr_output_is_ciphertext_only(self, frame, key):
         out, _, _ = _roundtrip("cmpr_encr", frame, AES128(key))
@@ -127,7 +128,7 @@ class TestEncryptionPlacement:
             cipher = AES128(bytes(16)) if name != "none" else None
             scheme = get_scheme(name)
             out = scheme.protect(frame.sections, cipher, IV, "cbc", 6,
-                                 StageTimes())
+                                 NULL_TRACER)
             assert set(out) == {"zblob"}
             zlib.decompress(out["zblob"])  # must be a valid stream
 
@@ -146,7 +147,7 @@ class TestCompressionImpact:
             scheme = get_scheme(name)
             out = scheme.protect(
                 frame.sections, cipher if name != "none" else None, IV,
-                "cbc", 6, StageTimes(),
+                "cbc", 6, NULL_TRACER,
             )
             sizes[name] = sum(len(v) for v in out.values())
         assert sizes["encr_quant"] > sizes["none"]

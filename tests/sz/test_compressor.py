@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import trace
 from repro.datasets import dataset_names, generate
 from repro.sz import SZCompressor
 from repro.sz.compressor import SECTION_ORDER
@@ -105,17 +106,24 @@ class TestFrameStructure:
         assert frame.payload_bytes == sum(stats.section_bytes.values())
 
     def test_stage_times_recorded(self, smooth_field):
-        frame = SZCompressor(1e-3).compress(smooth_field)
+        tr = trace.Tracer()
+        SZCompressor(1e-3).compress(smooth_field, tracer=tr)
+        (root,) = tr.roots
+        assert root.name == "sz.compress"
+        times = trace.stage_seconds(root)
         for stage in ("quantize", "predict", "huffman_build",
                       "huffman_encode", "side_channels"):
-            assert stage in frame.stats.stage_seconds
-            assert frame.stats.stage_seconds[stage] >= 0.0
+            assert stage in times
+            assert times[stage] >= 0.0
 
     def test_decompress_stage_times(self, smooth_field):
         comp = SZCompressor(1e-3)
         frame = comp.compress(smooth_field)
-        times: dict = {}
-        comp.decompress(frame, times)
+        tr = trace.Tracer()
+        comp.decompress(frame, tracer=tr)
+        (root,) = tr.roots
+        assert root.name == "sz.decompress"
+        times = trace.stage_seconds(root)
         assert "huffman_decode" in times
         assert "reconstruct" in times
 
